@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint chaos smbsimd-smoke bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
+.PHONY: all build test test-race vet lint chaos smbsimd-smoke perfbench-smoke bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
 
 all: build vet lint test test-race
 
@@ -43,6 +43,14 @@ test-race:
 smbsimd-smoke:
 	$(GO) test -race ./internal/shard ./internal/obs ./cmd/smbsimd
 	$(GO) run -race ./cmd/smbsimd -selftest -shards 4 -slots 5000 -reps 2
+
+# The repository benchmark's own tests (perfbench/README.md): unit tests
+# of its statistics plus a smoke run that builds smbsimd and runs every
+# workload, untraced and traced, for a few seconds with every op's
+# output checked. A change that breaks a contract the benchmark relies
+# on fails here rather than only in a full benchmark run.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Crash-chaos harness for the lease ledger: fork real worker
 # subprocesses, SIGKILL them mid-cell, truncate their journals at random

@@ -37,7 +37,9 @@ type (
 	// Trace is a materialized arrival sequence, one burst per slot. A
 	// Trace is itself a Provider, so it drops into every streaming API.
 	Trace = traffic.Trace
-	// Source produces per-slot arrival bursts.
+	// Source produces per-slot arrival bursts. Bursts are borrowed:
+	// each is valid until the next Next, and the caller must neither
+	// modify nor keep it (copy to keep; RecordTrace copies).
 	Source = traffic.Source
 	// Provider is a re-derivable arrival stream of known length; every
 	// replay opens its own cursor, so runs are bit-identical without

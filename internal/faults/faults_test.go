@@ -246,6 +246,54 @@ func TestAmplifyDuplicatesWithoutMutating(t *testing.T) {
 	}
 }
 
+// TestAmplifyReusedStateMatchesFreshGenerator pins the amplification
+// stream: the injector's reused, reseeded generator and burst storage
+// must reorder every slot exactly as a generator built afresh from the
+// slot's seed (the construction the fault schedule is specified by),
+// and a warm amplified slot must not allocate.
+func TestAmplifyReusedStateMatchesFreshGenerator(t *testing.T) {
+	cfg := testCfg()
+	spec := Spec{Horizon: 400, Faults: []Fault{{Kind: BurstAmplify, Value: 3, Period: 7, Duration: 5}}}
+	const seed = 11
+	in, err := New(core.MustNew(cfg, policy.Greedy{}), spec, cfg.Ports, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := testTrace(400, 3)
+	amplifiedSlots := 0
+	for s, burst := range tr {
+		slot := int64(s)
+		in.advance(slot)
+		got := in.amplified(slot, burst)
+		want := burst
+		if len(in.active) > 0 && len(burst) > 0 { // the spec's only windows amplify by 3
+			amplifiedSlots++
+			want = nil
+			for i := 0; i < 3; i++ {
+				want = append(want, burst...)
+			}
+			rng := rand.New(rand.NewSource(mix(mix(seed, amplifySalt), slot)))
+			rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("slot %d: amplified %v, want %v", s, got, want)
+		}
+	}
+	if amplifiedSlots == 0 {
+		t.Fatal("no slot was amplified; the comparison is vacuous")
+	}
+
+	burst := []pkt.Packet{pkt.NewWork(0, 1), pkt.NewWork(1, 2), pkt.NewWork(2, 3)}
+	in.active = []Event{{Kind: BurstAmplify, Value: 4}}
+	slot := int64(0)
+	if got := testing.AllocsPerRun(200, func() {
+		in.amplified(slot, burst)
+		slot++
+	}); got != 0 {
+		t.Errorf("warm amplified slot: %v allocs, want 0", got)
+	}
+}
+
 func TestDrainClearsOverridesWithoutAdvancingClock(t *testing.T) {
 	cfg := testCfg()
 	// Port 0 is permanently dark within the horizon.

@@ -59,6 +59,11 @@ type Injector struct {
 
 	speedups []int // scratch: desired per-port speedup (-1 = nominal)
 
+	// Burst-amplification scratch, reused by every amplified slot: the
+	// output burst and the shuffle generator, reseeded per slot.
+	ampBurst []pkt.Packet
+	ampRNG   *rand.Rand
+
 	// Optional observability recorder (see SetRecorder): counts each
 	// fault-window activation in the KindFaultEvent lane, branch-on-nil.
 	rec *obs.Recorder
@@ -223,7 +228,10 @@ func (in *Injector) apply() {
 // amplified returns the burst for slot t under any active BurstAmplify
 // window: each packet duplicated factor times, then deterministically
 // reordered by a per-slot RNG derived from the injector seed. The
-// caller's slice is never mutated.
+// caller's slice is never mutated. The amplified burst lives in
+// storage the injector reuses every slot, and the generator is
+// reseeded rather than rebuilt (reseeding restarts the identical
+// stream), so an amplified slot allocates nothing once warm.
 func (in *Injector) amplified(t int64, arrivals []pkt.Packet) []pkt.Packet {
 	factor := 0
 	for _, e := range in.active {
@@ -234,13 +242,19 @@ func (in *Injector) amplified(t int64, arrivals []pkt.Packet) []pkt.Packet {
 	if factor == 0 || len(arrivals) == 0 {
 		return arrivals
 	}
-	out := make([]pkt.Packet, 0, len(arrivals)*factor)
+	out := in.ampBurst[:0]
 	for i := 0; i < factor; i++ {
 		out = append(out, arrivals...)
 	}
-	rng := rand.New(rand.NewSource(mix(mix(in.seed, amplifySalt), t)))
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	in.ampBurst = out
+	seed := mix(mix(in.seed, amplifySalt), t)
+	if in.ampRNG == nil {
+		in.ampRNG = rand.New(rand.NewSource(seed))
+	} else {
+		in.ampRNG.Seed(seed)
+	}
+	in.ampRNG.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out[:len(out):len(out)]
 }
 
 // clearOverrides restores the wrapped system to nominal capacity and

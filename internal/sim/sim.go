@@ -34,7 +34,8 @@ type System interface {
 	// Name identifies the system in reports.
 	Name() string
 	// Step runs one slot: the given arrivals, then one transmission
-	// phase.
+	// phase. The arrivals are borrowed (see traffic.Source): Step must
+	// neither modify them nor keep them after it returns.
 	Step(arrivals []pkt.Packet) error
 	// Drain transmits without arrivals until empty and returns the
 	// number of slots consumed.

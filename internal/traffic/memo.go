@@ -109,10 +109,15 @@ func (m *memoProvider) install(tr Trace) {
 }
 
 // recordingCursor streams from the underlying cursor while copying
-// each burst into a growing trace. It installs the trace on Close if
-// the full stream was served cleanly within budget; any shortfall —
-// early Close, a stream error, an exhausted budget — abandons the
-// recording and the wrapper stays transparent.
+// each burst into a growing trace. The burst it serves is the
+// underlying cursor's own, passed on under the same borrowed contract;
+// the recording keeps a copy because it is the one reader that
+// outlives the slot. Once installed, replay cursors serve the recorded
+// slots themselves, so no replay copies or allocates per slot. It
+// installs the trace on Close if the full stream was served cleanly
+// within budget; any shortfall — early Close, a stream error, an
+// exhausted budget — abandons the recording and the wrapper stays
+// transparent.
 type recordingCursor struct {
 	m     *memoProvider
 	cur   Cursor
@@ -129,8 +134,8 @@ func (c *recordingCursor) Next() []pkt.Packet {
 		if c.left < 0 {
 			c.trace = nil // over budget: stop retaining
 		} else {
-			// Copy rather than retain: generators may reuse burst
-			// storage between slots.
+			// Copy rather than retain: the burst is borrowed only
+			// until the next Next, and generators reuse its storage.
 			var rec []pkt.Packet
 			if len(burst) > 0 {
 				rec = append(rec, burst...)

@@ -27,6 +27,13 @@ type Provider interface {
 // Source that can additionally fail mid-stream (file-backed cursors)
 // and hold resources until Closed. Next returns empty bursts once the
 // stream is exhausted or after a failure.
+//
+// A cursor's bursts are borrowed exactly as a Source's are: each one
+// stays valid until the next Next or Close, and the caller must
+// neither modify nor retain it — copy to keep. A replay cursor over a
+// materialized or memoized trace serves the recorded slots themselves,
+// shared by every cursor of the Provider, so a write through one
+// burst would corrupt every later replay.
 type Cursor interface {
 	Source
 	// Err reports the first stream failure, or nil. A failed cursor
@@ -135,9 +142,7 @@ func (c *repeatCursor) Next() []pkt.Packet {
 	}
 	slot := c.round[c.pos%len(c.round)]
 	c.pos++
-	out := make([]pkt.Packet, len(slot))
-	copy(out, slot)
-	return out
+	return slot[:len(slot):len(slot)]
 }
 
 // Interface conformance checks.

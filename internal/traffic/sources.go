@@ -9,22 +9,18 @@ import (
 // Constant emits the same burst every slot — constant-bit-rate traffic
 // for calibration tests and steady-state experiments.
 type Constant struct {
-	// Burst is emitted (copied) each slot.
+	// Burst is emitted each slot (served as a borrowed burst).
 	Burst []pkt.Packet
 }
 
 // Next implements Source.
-func (c *Constant) Next() []pkt.Packet {
-	out := make([]pkt.Packet, len(c.Burst))
-	copy(out, c.Burst)
-	return out
-}
+func (c *Constant) Next() []pkt.Packet { return c.Burst[:len(c.Burst):len(c.Burst)] }
 
 // Periodic emits a burst every Period slots (first burst at slot Offset),
 // and nothing otherwise — the paper's "every i-th time slot, another [i]
 // arrives" trickles.
 type Periodic struct {
-	// Burst is emitted on firing slots.
+	// Burst is emitted on firing slots (served as a borrowed burst).
 	Burst []pkt.Packet
 	// Period is the firing interval in slots (>= 1).
 	Period int
@@ -45,9 +41,7 @@ func (p *Periodic) Next() []pkt.Packet {
 	if s < p.Offset || (s-p.Offset)%period != 0 {
 		return nil
 	}
-	out := make([]pkt.Packet, len(p.Burst))
-	copy(out, p.Burst)
-	return out
+	return p.Burst[:len(p.Burst):len(p.Burst)]
 }
 
 // Mix interleaves sources: each slot concatenates every source's burst

@@ -15,11 +15,12 @@ func TestConstant(t *testing.T) {
 			t.Fatalf("slot %d: %d packets", i, len(got))
 		}
 	}
-	// Returned slices are copies.
+	// The burst is served borrowed, without a per-slot copy, and
+	// capped so a caller's append cannot write into Burst's spare
+	// capacity.
 	b := c.Next()
-	b[0].Port = 99
-	if c.Burst[0].Port == 99 {
-		t.Error("Constant aliases its burst")
+	if &b[0] != &c.Burst[0] || cap(b) != len(b) {
+		t.Error("Constant did not serve its own burst capped at its length")
 	}
 }
 

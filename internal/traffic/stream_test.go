@@ -24,14 +24,15 @@ func streamTestTrace() Trace {
 }
 
 // drainCursor replays cur for slots slots and returns the materialized
-// result, failing the test on a cursor error.
+// result, failing the test on a cursor error. Bursts are borrowed, so
+// each kept one is copied.
 func drainCursor(t *testing.T, cur Cursor, slots int) Trace {
 	t.Helper()
 	out := make(Trace, slots)
 	for i := 0; i < slots; i++ {
 		burst := cur.Next()
 		if len(burst) > 0 {
-			out[i] = burst
+			out[i] = append([]pkt.Packet(nil), burst...)
 		}
 	}
 	if err := cur.Err(); err != nil {
@@ -208,8 +209,8 @@ func TestFileProviderStreamsIndependentCursors(t *testing.T) {
 			got1 := make(Trace, 0, len(tr))
 			got2 := make(Trace, 0, len(tr))
 			for i := 0; i < len(tr); i++ {
-				got1 = append(got1, c1.Next())
-				got2 = append(got2, c2.Next())
+				got1 = append(got1, append([]pkt.Packet(nil), c1.Next()...))
+				got2 = append(got2, append([]pkt.Packet(nil), c2.Next()...))
 			}
 			if err := c1.Err(); err != nil {
 				t.Fatal(err)

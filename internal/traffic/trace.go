@@ -13,11 +13,14 @@ import (
 // Trace is a materialized arrival sequence: one packet slice per slot.
 type Trace [][]pkt.Packet
 
-// Record materializes the next slots slots of src.
+// Record materializes the next slots slots of src. Bursts are
+// borrowed (see Source), so each one is copied; empty slots stay nil.
 func Record(src Source, slots int) Trace {
 	tr := make(Trace, slots)
 	for t := range tr {
-		tr[t] = src.Next()
+		if burst := src.Next(); len(burst) > 0 {
+			tr[t] = append([]pkt.Packet(nil), burst...)
+		}
 	}
 	return tr
 }
@@ -32,7 +35,10 @@ func (tr Trace) Packets() int {
 }
 
 // Replay returns a Source that plays the trace back from the beginning,
-// returning empty bursts once exhausted.
+// returning empty bursts once exhausted. It serves the trace's own
+// slot storage without copying, so a replay allocates nothing per
+// slot; like every Source burst, the slots are borrowed and must not
+// be modified.
 func (tr Trace) Replay() Source { return &replay{trace: tr} }
 
 type replay struct {
@@ -40,17 +46,14 @@ type replay struct {
 	pos   int
 }
 
-// Next returns a copy of the next slot's burst, nil once the trace is
-// exhausted.
+// Next returns the next slot's burst, nil once the trace is exhausted.
 func (r *replay) Next() []pkt.Packet {
 	if r.pos >= len(r.trace) {
 		return nil
 	}
 	slot := r.trace[r.pos]
 	r.pos++
-	out := make([]pkt.Packet, len(slot))
-	copy(out, slot)
-	return out
+	return slot[:len(slot):len(slot)]
 }
 
 // traceHeader is the first line of the v1 text format.

@@ -42,13 +42,17 @@ func TestReplay(t *testing.T) {
 	if got := src.Next(); got != nil {
 		t.Errorf("exhausted replay returned %v", got)
 	}
-	// The replayed slices are copies: mutating them must not corrupt
-	// the source trace.
+	// The replay serves the trace's own storage (borrowed bursts, no
+	// per-slot copy), capped at its length so a caller's append
+	// reallocates instead of writing past the slot. The borrow guard
+	// (internal/sim's TestBorrowGuard*) proves no consumer writes to it.
 	src2 := tr.Replay()
 	burst := src2.Next()
-	burst[0].Port = 99
-	if tr[0][0].Port == 99 {
-		t.Error("replay aliases the underlying trace")
+	if &burst[0] != &tr[0][0] {
+		t.Error("replay copied the slot instead of serving the trace's storage")
+	}
+	if cap(burst) != len(burst) {
+		t.Errorf("replayed burst cap %d, want its length %d", cap(burst), len(burst))
 	}
 }
 

@@ -19,9 +19,22 @@ import (
 // Source produces the arrival burst of successive time slots. Arrivals
 // within a slot are ordered (the paper serves input ports in fixed
 // order).
+//
+// Bursts are borrowed, not owned: a source may serve its own storage
+// (a recorded trace slot, a generator's reused buffer), so the caller
+// must not modify a burst and must not retain it past the next call
+// to Next (or Close, for a Cursor). Copy to keep. Every simulation
+// consumer — core.Switch, the OPT proxies, the fault injector, the
+// sharded runtime's ingest — reads each burst once, in the slot it
+// arrives, which is what lets trace replay and MMPP generation run
+// without allocating per slot.
 type Source interface {
-	// Next returns the packets arriving in the next slot. The returned
-	// slice is owned by the caller.
+	// Next returns the packets arriving in the next slot. The burst
+	// is borrowed: it stays valid until the next call to Next, and
+	// the caller must neither modify it nor retain it (copy to keep).
+	// This package's sources that lend stored bursts cap each one's
+	// capacity at its length, so an append by the caller reallocates
+	// instead of writing into the source.
 	Next() []pkt.Packet
 }
 
@@ -135,9 +148,11 @@ func (c MMPPConfig) LambdaForRate(rate float64) float64 {
 type MMPP struct {
 	cfg        MMPPConfig
 	rng        *rand.Rand
+	expNeg     float64 // e^-LambdaOn, Knuth's stopping product in poisson
 	on         []bool
-	sourcePort []int     // fixed port per source when PortAffinity is set
-	portCDF    []float64 // cumulative Zipf weights when PortZipf > 0
+	sourcePort []int        // fixed port per source when PortAffinity is set
+	portCDF    []float64    // cumulative Zipf weights when PortZipf > 0
+	burst      []pkt.Packet // storage reused by every Next (borrowed bursts)
 }
 
 // NewMMPP builds the generator. Source states are initialized from the
@@ -147,9 +162,10 @@ func NewMMPP(cfg MMPPConfig) (*MMPP, error) {
 		return nil, err
 	}
 	g := &MMPP{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		on:  make([]bool, cfg.Sources),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		expNeg: math.Exp(-cfg.LambdaOn),
+		on:     make([]bool, cfg.Sources),
 	}
 	pOn := cfg.StationaryOnFraction()
 	for i := range g.on {
@@ -193,12 +209,14 @@ func (g *MMPP) drawPort() int {
 	return lo
 }
 
-// Next implements Source.
+// Next implements Source. The burst is built in one buffer the
+// generator reuses every slot, so steady-state generation does not
+// allocate once the buffer has grown to the largest burst seen.
 func (g *MMPP) Next() []pkt.Packet {
-	var out []pkt.Packet
+	out := g.burst[:0]
 	for i := 0; i < g.cfg.Sources; i++ {
 		if g.on[i] {
-			for n := poisson(g.rng, g.cfg.LambdaOn); n > 0; n-- {
+			for n := poisson(g.rng, g.cfg.LambdaOn, g.expNeg); n > 0; n-- {
 				out = append(out, g.emit(i))
 			}
 			if g.rng.Float64() < g.cfg.POnOff {
@@ -208,7 +226,8 @@ func (g *MMPP) Next() []pkt.Packet {
 			g.on[i] = true
 		}
 	}
-	return out
+	g.burst = out
+	return out[:len(out):len(out)]
 }
 
 // emit labels one packet from source i.
@@ -242,7 +261,9 @@ func (g *MMPP) emit(i int) pkt.Packet {
 // poisson samples a Poisson variate by Knuth's product method for small
 // means and a clipped normal approximation for large ones (λ in this
 // package stays small; the fallback only guards against misuse).
-func poisson(rng *rand.Rand, lambda float64) int {
+// expNeg is e^-λ, which the generator computes once rather than per
+// draw; it consumes no randomness, so hoisting it changes no trace.
+func poisson(rng *rand.Rand, lambda, expNeg float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -253,11 +274,10 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= expNeg {
 			return k
 		}
 		k++

@@ -246,17 +246,17 @@ func TestPortZipfValidation(t *testing.T) {
 
 func TestPoisson(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if got := poisson(rng, 0); got != 0 {
+	if got := poisson(rng, 0, 1); got != 0 {
 		t.Errorf("poisson(0) = %d", got)
 	}
-	if got := poisson(rng, -2); got != 0 {
+	if got := poisson(rng, -2, math.Exp(2)); got != 0 {
 		t.Errorf("poisson(-2) = %d", got)
 	}
 	for _, lambda := range []float64{0.5, 3, 12, 50} {
 		var sum float64
 		const n = 20000
 		for i := 0; i < n; i++ {
-			sum += float64(poisson(rng, lambda))
+			sum += float64(poisson(rng, lambda, math.Exp(-lambda)))
 		}
 		mean := sum / n
 		if math.Abs(mean-lambda) > 0.15*lambda {
@@ -269,7 +269,7 @@ func TestQuickPoissonNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(l float64) bool {
 		lambda := math.Mod(math.Abs(l), 100)
-		return poisson(rng, lambda) >= 0
+		return poisson(rng, lambda, math.Exp(-lambda)) >= 0
 	}
 	if err := quick.Check(f, qcfg(200)); err != nil {
 		t.Error(err)
