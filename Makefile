@@ -28,14 +28,17 @@ test:
 
 # Race-detector pass over the concurrency-sensitive harness packages and
 # the shared-state providers they drive, including the sharded runtime
-# and its daemon.
+# and its daemon. The lease suites then run again at GOMAXPROCS 1 and 4,
+# several times, so races between sibling lease holders can fire even on
+# a machine with few cores.
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/lease ./internal/shard ./internal/obs ./cmd/smbsimd
+	$(GO) test -race -cpu 1,4 -count=5 -run Lease ./internal/sim ./internal/lease
 
 # Sharded-runtime smoke (DESIGN.md §17): the shard and daemon suites
-# under the race detector — SPSC rings, pool manager, stream lifecycle,
-# SIGTERM drain, mid-stream disconnect — then the seeded in-process
-# loadgen selftest at 1 and 4 shards, where every shard must be
+# under the race detector — SPSC rings, stream lifecycle, SIGTERM
+# drain, mid-stream disconnect, stalled clients — then the seeded
+# in-process loadgen selftest at 1 and 4 shards, where every shard must be
 # bit-identical to its single-threaded sim.RunTrace oracle. The -race
 # selftest run keeps the wall-clock numbers honest about what the
 # detector costs; scaling assertions (-minscale) are left to operators

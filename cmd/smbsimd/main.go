@@ -49,6 +49,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"smbm/internal/core"
 	"smbm/internal/obs"
@@ -351,8 +352,12 @@ func (d *daemon) serve(ctx context.Context, ln net.Listener) {
 // results. A mid-stream failure (client disconnect, malformed frame,
 // shutdown) cuts the stream at its last complete slot: the shards
 // still drain and publish consistent results, retrievable at /results.
+// Shutdown expires the connection's read deadline, so a stalled client
+// is cut exactly as a disconnected one and cannot hold the daemon up.
 func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
+	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
+	defer stop()
 	d.streamMu.Lock()
 	defer d.streamMu.Unlock()
 	if ctx.Err() != nil {
@@ -426,9 +431,9 @@ func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 	_ = enc.Encode(resp)
 }
 
-// shutdown waits out any active stream (the stream loop observes the
-// cancelled context and cuts at the next slot boundary), then stops
-// the shard goroutines.
+// shutdown waits out any active stream (the cancelled context expires
+// the connection's reads, cutting the stream at its last complete
+// slot), then stops the shard goroutines.
 func (d *daemon) shutdown() {
 	d.streamMu.Lock()
 	defer d.streamMu.Unlock()
@@ -479,11 +484,6 @@ func (d *daemon) expvars() any {
 		"shards":    d.rt.Shards(),
 		"streaming": d.rt.Streaming(),
 		"live":      live,
-		"staging": map[string]int64{
-			"budget_cap":  d.rt.Budget().Cap(),
-			"budget_free": d.rt.Budget().Free(),
-			"emergencies": d.rt.Budget().Emergencies(),
-		},
 	}
 }
 

@@ -400,3 +400,128 @@ func TestSelftestSmoke(t *testing.T) {
 		t.Fatalf("selftest output missing expected lines:\n%s", s)
 	}
 }
+
+// terminateWithin is terminate with a bound: the daemon must exit 0
+// within limit of the SIGTERM.
+func (d *daemonProc) terminateWithin(t *testing.T, limit time.Duration) {
+	t.Helper()
+	start := time.Now()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("sending SIGTERM: %v", err)
+	}
+	exited := make(chan error, 1)
+	go func() {
+		io.ReadAll(d.stdout)
+		exited <- d.cmd.Wait()
+	}()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon exited non-zero after SIGTERM: %v", err)
+		}
+	case <-time.After(limit):
+		t.Fatalf("daemon still running %v after SIGTERM", limit)
+	}
+	t.Logf("daemon exited %v after SIGTERM", time.Since(start).Round(time.Millisecond))
+}
+
+// liveSlots reads the daemon's aggregated live slot gauge from expvar.
+func (d *daemonProc) liveSlots(t *testing.T) int64 {
+	t.Helper()
+	_, body := d.adminGet(t, "/debug/vars")
+	var vars struct {
+		Smbsimd struct {
+			Live shard.LiveSnapshot `json:"live"`
+		} `json:"smbsimd"`
+	}
+	if err := json.Unmarshal([]byte(body), &vars); err != nil {
+		t.Fatalf("/debug/vars JSON: %v", err)
+	}
+	return vars.Smbsimd.Live.Slots
+}
+
+// stallAndTerminate opens a stream connection, writes prefix, leaves
+// the connection open and idle, waits for consumed to report that the
+// daemon has read the prefix, and SIGTERMs the daemon, which must exit
+// 0 within two seconds. It returns the line the daemon wrote back
+// before closing the connection.
+func stallAndTerminate(t *testing.T, d *daemonProc, prefix []byte, consumed func() bool) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", d.streamAddr)
+	if err != nil {
+		t.Fatalf("dialing daemon: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(prefix); err != nil {
+		t.Fatalf("writing stream prefix: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !consumed() {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never consumed the %d-byte prefix", len(prefix))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	d.terminateWithin(t, 2*time.Second)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading the daemon's reply to a stalled stream: %v", err)
+	}
+	return line
+}
+
+// TestDaemonStalledHeaderSIGTERM stalls a client inside the stream
+// header: shutdown must cut the connection instead of waiting for the
+// client to hang up, and the client gets an error reply.
+func TestDaemonStalledHeaderSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; skipped with -short")
+	}
+	d := startDaemon(t, filepath.Join(t.TempDir(), "final.obs.json"), 2)
+	// Nothing observable marks a half-read header; give the daemon time
+	// to accept the connection and block in the header read.
+	start := time.Now()
+	line := stallAndTerminate(t, d, []byte("SMB"), func() bool { return time.Since(start) > 200*time.Millisecond })
+	var reply struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(line, &reply); err != nil || reply.Error == "" {
+		t.Fatalf("stalled-header reply = %q, want an error object", line)
+	}
+}
+
+// TestDaemonStalledMidRecordSIGTERM stalls a client partway through a
+// record: shutdown must cut the stream at its last complete slot, as a
+// disconnect does, answer with results bit-identical to the oracle
+// over the processed prefix, and exit promptly.
+func TestDaemonStalledMidRecordSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; skipped with -short")
+	}
+	d := startDaemon(t, filepath.Join(t.TempDir(), "final.obs.json"), 2)
+	cfg := e2eConfig()
+	tr := e2eTrace(cfg, 50)
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatalf("encoding trace: %v", err)
+	}
+	// Same cut as TestDaemonMidStreamDisconnect: 10 complete slots plus
+	// 3 bytes of slot 10's first record, so 9 slots are provably
+	// complete.
+	cut := 10 + 10*16 + 3
+	line := stallAndTerminate(t, d, buf.Bytes()[:cut], func() bool {
+		return d.liveSlots(t) == 2*9 // both shards advanced past slot 8
+	})
+	var resp streamResponse
+	if err := json.Unmarshal(line, &resp); err != nil {
+		t.Fatalf("stalled-stream response %q: %v", line, err)
+	}
+	if !resp.Aborted || resp.Error == "" {
+		t.Fatalf("stalled stream not aborted: %+v", resp)
+	}
+	if resp.RequestedSlots != len(tr) || resp.ProcessedSlots != 9 {
+		t.Fatalf("processed %d/%d slots, want 9/%d", resp.ProcessedSlots, resp.RequestedSlots, len(tr))
+	}
+	checkResponseOracle(t, &resp, tr[:resp.ProcessedSlots], func() core.Policy { return policy.LQD{} })
+}

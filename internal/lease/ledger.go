@@ -310,9 +310,10 @@ func (l *Ledger) pause(ctx context.Context, d time.Duration) error {
 // Acquire claims one free cell from cells, blocking — with capped
 // exponential backoff — while every pending cell is leased elsewhere,
 // until a claim wins, every cell is completed or degraded (StatusDone),
-// or ctx ends. The claim protocol is optimistic: append a lease record
-// under the next fencing token, then re-scan to verify this worker won
-// the token; a lost race backs off and tries another cell.
+// or ctx ends. The claim protocol is optimistic: take the in-process
+// hold, re-scan to confirm the cell is still free, append a lease
+// record under the next fencing token, then re-scan to verify this
+// worker won the token; a lost race backs off and tries another cell.
 func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, error) {
 	delay := backoffBase
 	for {
@@ -352,11 +353,23 @@ func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, erro
 		// Start each worker at a different point of the free list so a
 		// fleet spreads out instead of stampeding the first free cell.
 		c := free[int(workerHash(l.worker)%uint64(len(free)))]
-		cs := st.Cell(c)
-		ls := Lease{Cell: c, Token: cs.NextToken, Attempt: cs.NextAttempt}
 		if !l.hold(c) {
 			continue // a sibling goroutine claimed it since the scan
 		}
+		// Re-scan under the hold: a sibling appends its complete or
+		// abandon before dropping its hold, so this scan cannot miss a
+		// run that finished between the first scan and the hold.
+		fresh, err := l.Scan()
+		if err != nil {
+			l.release(c)
+			return Lease{}, StatusAcquired, err
+		}
+		if fresh.Phase(c, l.retries) != PhaseFree {
+			l.release(c)
+			continue
+		}
+		cs := fresh.Cell(c)
+		ls := Lease{Cell: c, Token: cs.NextToken, Attempt: cs.NextAttempt}
 		if _, err := l.appendLease(ls); err != nil {
 			l.release(c)
 			return Lease{}, StatusAcquired, err

@@ -21,6 +21,10 @@ const drainCeiling = 1 << 20
 // sim harness's slack for boundary effects.
 const drainSlack = 64
 
+// initialBatch is the staging batch's starting capacity; append grows
+// it past the largest slot seen, after which it is reused as is.
+const initialBatch = 64
+
 // drainBound returns the drain-slot budget for one shard's
 // configuration: B·MaxLabel plus slack, under the absolute ceiling.
 func drainBound(cfg core.Config) int {
@@ -158,7 +162,6 @@ type Shard struct {
 	id   int
 	cfg  core.Config
 	ring *Ring
-	pool *Pool
 
 	sw     *core.Switch
 	rec    *obs.Recorder
@@ -166,7 +169,9 @@ type Shard struct {
 	live   *Live
 
 	// batch stages the current slot's arrivals; always belongs to
-	// slot `slot` (arrivals are non-decreasing in slot).
+	// slot `slot` (arrivals are non-decreasing in slot). It is retained
+	// across slots and streams and only ever grows, so the steady state
+	// allocates nothing.
 	batch []pkt.Packet
 	// slot is the number of slots stepped so far == the next slot to
 	// execute.
@@ -183,7 +188,7 @@ type Shard struct {
 }
 
 // newShard builds a shard over its partition-local configuration.
-func newShard(id int, cfg core.Config, pol core.Policy, ringCap int, pool *Pool) (*Shard, error) {
+func newShard(id int, cfg core.Config, pol core.Policy, ringCap int) (*Shard, error) {
 	sw, err := core.New(cfg, pol)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
@@ -194,15 +199,14 @@ func newShard(id int, cfg core.Config, pol core.Policy, ringCap int, pool *Pool)
 		id:     id,
 		cfg:    cfg,
 		ring:   NewRing(ringCap),
-		pool:   pool,
 		sw:     sw,
 		rec:    rec,
 		mirror: obs.NewMirror(cfg.Ports),
 		live:   &Live{},
 		ack:    make(chan error, 1),
 		done:   make(chan struct{}),
+		batch:  make([]pkt.Packet, 0, initialBatch),
 	}
-	sh.batch = pool.Get(minSlab)
 	return sh, nil
 }
 
@@ -258,13 +262,6 @@ func (sh *Shard) stage(e Entry) {
 		if sh.err != nil {
 			return
 		}
-	}
-	if len(sh.batch) == cap(sh.batch) {
-		grown := sh.pool.Get(2 * cap(sh.batch))
-		grown = grown[:len(sh.batch)]
-		copy(grown, sh.batch)
-		sh.pool.Put(sh.batch)
-		sh.batch = grown
 	}
 	sh.batch = append(sh.batch, e.Packet())
 }
