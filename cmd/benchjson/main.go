@@ -4,7 +4,8 @@
 //
 //   - per-policy engine micro-benchmarks: ns and allocations per
 //     congested slot of Switch.Step for every roster policy in all
-//     three models (steady state must be allocation-free);
+//     three models, plus the model's OPT proxy (steady state must be
+//     allocation-free);
 //   - per-panel sweep-cell benchmarks: ns per (x, seed) cell and
 //     cells/sec for the Fig. 5 panels, each cell running the full
 //     policy roster plus the OPT proxy exactly as a sweep does;
@@ -32,6 +33,7 @@ import (
 
 	"smbm/internal/core"
 	"smbm/internal/experiments"
+	"smbm/internal/opt"
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/traffic"
@@ -117,16 +119,46 @@ func microTrace(cfg core.Config) traffic.Trace {
 	return tr
 }
 
-// microBench measures one policy on one config. The switch is warmed
-// with one full replay before timing so growth allocations (deque
-// reservations, multiset arrays) are excluded: what remains is the
-// steady state, which must be allocation-free.
-func microBench(cfg core.Config, pol core.Policy) (Micro, error) {
-	tr := microTrace(cfg)
-	sw, err := core.New(cfg, pol)
-	if err != nil {
-		return Micro{}, err
+// replayer is what one micro row drives: an engine switch running a
+// roster policy, or an OPT proxy.
+type replayer interface {
+	Name() string
+	Step([]pkt.Packet) error
+	Drain() int
+	Reset()
+}
+
+// microRows measures every roster policy of one config, then the
+// config's OPT proxy, printing one progress line per row.
+func microRows(cfg core.Config, label string, pols []core.Policy, proxy replayer) ([]Micro, error) {
+	var rows []Micro
+	add := func(sw replayer) error {
+		m, err := microBench(cfg, sw)
+		if err != nil {
+			return fmt.Errorf("micro %s: %w", sw.Name(), err)
+		}
+		rows = append(rows, m)
+		fmt.Fprintf(os.Stderr, "micro %-10s %-8s %8.0f ns/slot %3d allocs/op\n", label, m.Policy, m.NsPerSlot, m.AllocsPerOp)
+		return nil
 	}
+	for _, p := range pols {
+		sw, err := core.New(cfg, p)
+		if err != nil {
+			return nil, fmt.Errorf("micro %s: %w", p.Name(), err)
+		}
+		if err := add(sw); err != nil {
+			return nil, err
+		}
+	}
+	return rows, add(proxy)
+}
+
+// microBench measures one replayer on one config. It is warmed with one
+// full replay before timing so growth allocations (deque reservations,
+// multiset arrays) are excluded: what remains is the steady state,
+// which must be allocation-free.
+func microBench(cfg core.Config, sw replayer) (Micro, error) {
+	tr := microTrace(cfg)
 	replay := func() error {
 		for _, burst := range tr {
 			if err := sw.Step(burst); err != nil {
@@ -155,7 +187,7 @@ func microBench(cfg core.Config, pol core.Policy) (Micro, error) {
 	}
 	ns := res.NsPerOp()
 	return Micro{
-		Policy:       pol.Name(),
+		Policy:       sw.Name(),
 		NsPerOp:      ns,
 		AllocsPerOp:  res.AllocsPerOp(),
 		NsPerSlot:    float64(ns) / microSlots,
@@ -298,8 +330,9 @@ func traceMemory() ([]TraceMemory, error) {
 	return []TraceMemory{row("materialized", materialized), row("streamed", streamed)}, nil
 }
 
-// assertZeroAllocs returns an error naming every policy whose steady
-// state allocates — the regression gate CI runs on the micro rows.
+// assertZeroAllocs returns an error naming every policy or OPT proxy
+// whose steady state allocates — the regression gate CI runs on the
+// micro rows.
 func assertZeroAllocs(base *Baseline) error {
 	var bad []string
 	for _, m := range base.MicroProc {
@@ -341,36 +374,33 @@ func run(out string, benchtime time.Duration, zeroAllocs bool) error {
 		Model: core.ModelProcessing, Ports: 16, Buffer: 128, MaxLabel: 16,
 		Speedup: 1, PortWork: core.ContiguousWorks(16),
 	}
-	for _, p := range append(policy.ForProcessing(), policy.Experimental()...) {
-		m, err := microBench(procCfg, p)
-		if err != nil {
-			return fmt.Errorf("micro %s: %w", p.Name(), err)
-		}
-		base.MicroProc = append(base.MicroProc, m)
-		fmt.Fprintf(os.Stderr, "micro processing %-7s %8.0f ns/slot %3d allocs/op\n", p.Name(), m.NsPerSlot, m.AllocsPerOp)
-	}
 	valCfg := core.Config{
 		Model: core.ModelValue, Ports: 16, Buffer: 128, MaxLabel: 16, Speedup: 1,
-	}
-	for _, p := range append(policy.ForValueUniform(), policy.ValueExperimental()...) {
-		m, err := microBench(valCfg, p)
-		if err != nil {
-			return fmt.Errorf("micro %s: %w", p.Name(), err)
-		}
-		base.MicroValue = append(base.MicroValue, m)
-		fmt.Fprintf(os.Stderr, "micro value      %-7s %8.0f ns/slot %3d allocs/op\n", p.Name(), m.NsPerSlot, m.AllocsPerOp)
 	}
 	combCfg := core.Config{
 		Model: core.ModelCombined, Ports: 16, Buffer: 128, MaxLabel: 16,
 		Speedup: 1, PortWork: core.ContiguousWorks(16),
 	}
-	for _, p := range policy.ForCombined() {
-		m, err := microBench(combCfg, p)
-		if err != nil {
-			return fmt.Errorf("micro %s: %w", p.Name(), err)
-		}
-		base.MicroComb = append(base.MicroComb, m)
-		fmt.Fprintf(os.Stderr, "micro combined   %-7s %8.0f ns/slot %3d allocs/op\n", p.Name(), m.NsPerSlot, m.AllocsPerOp)
+	spqProc, err := opt.NewSPQProc(procCfg)
+	if err != nil {
+		return err
+	}
+	spqVal, err := opt.NewSPQVal(valCfg)
+	if err != nil {
+		return err
+	}
+	spqComb, err := opt.NewSPQComb(combCfg)
+	if err != nil {
+		return err
+	}
+	if base.MicroProc, err = microRows(procCfg, "processing", append(policy.ForProcessing(), policy.Experimental()...), spqProc); err != nil {
+		return err
+	}
+	if base.MicroValue, err = microRows(valCfg, "value", append(policy.ForValueUniform(), policy.ValueExperimental()...), spqVal); err != nil {
+		return err
+	}
+	if base.MicroComb, err = microRows(combCfg, "combined", policy.ForCombined(), spqComb); err != nil {
+		return err
 	}
 	if zeroAllocs {
 		// Gate before the (slow) panel benchmarks: a CI failure should

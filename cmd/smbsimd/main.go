@@ -267,12 +267,20 @@ func main() {
 
 	// The accept loop runs in its own goroutine so the main goroutine
 	// can own the shutdown sequence.
-	go d.serve(ctx, ln)
+	served := make(chan struct{})
+	go func() {
+		d.serve(ctx, ln)
+		close(served)
+	}()
 
 	<-ctx.Done()
 	stop() // restore default signal behaviour for a second signal
 	fmt.Println("smbsimd: shutting down")
 	ln.Close()
+	// Every handler's answer is written before the runtime stops and
+	// the process exits: the stream lock is released before the answer
+	// goes out, so shutdown's lock alone would not wait for it.
+	<-served
 	d.shutdown()
 	if network == "unix" {
 		os.Remove(addr)
@@ -290,7 +298,8 @@ type daemon struct {
 	// handlers while a stream runs.
 	policyName syncedString
 	// streamMu serializes streams: one client at a time drives the
-	// runtime's producer side. It also serializes shutdown against an
+	// runtime's producer side, and a client that finds it held is
+	// answered busy at once. It also serializes shutdown against an
 	// active stream.
 	streamMu sync.Mutex
 	// lastMu guards lastResponse, the bit-exact outcome of the most
@@ -336,44 +345,81 @@ type streamResponse struct {
 	Results []shard.Result `json:"results"`
 }
 
-// serve accepts and handles one stream connection at a time until the
-// listener closes.
+// busyMsg answers a stream connection that arrives while another
+// stream holds the runtime.
+const busyMsg = "busy: a stream is active"
+
+// serve accepts stream connections until the listener closes, handling
+// each in its own goroutine so a second client is answered busy instead
+// of blocking behind the active stream. It returns once the listener
+// has closed and every handler has returned. A busy handler returns
+// right after its reply; the one active stream ends at disconnect, at
+// the end of its data, or when shutdown expires its reads.
 func (d *daemon) serve(ctx context.Context, ln net.Listener) {
+	var handlers sync.WaitGroup
+	defer handlers.Wait()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		d.handleConn(ctx, conn)
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			d.handleConn(ctx, conn)
+		}()
 	}
 }
 
 // handleConn ingests one arrival stream and answers with the bit-exact
-// results. A mid-stream failure (client disconnect, malformed frame,
-// shutdown) cuts the stream at its last complete slot: the shards
-// still drain and publish consistent results, retrievable at /results.
+// results, or answers busy and closes when another stream is active.
 // Shutdown expires the connection's read deadline, so a stalled client
 // is cut exactly as a disconnected one and cannot hold the daemon up.
+//
+// The stream lock is released before the answer is written and before
+// it is published at /results, so a client that has the answer can
+// start the next stream at once without being told the daemon is busy.
 func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
 	defer stop()
-	d.streamMu.Lock()
-	defer d.streamMu.Unlock()
-	if ctx.Err() != nil {
+	if !d.streamMu.TryLock() {
+		fmt.Fprintf(conn, `{"error":%q}`+"\n", busyMsg)
 		return
 	}
-
-	cur, slots, err := streamOpen(conn)
+	resp, err := d.runStream(ctx, conn)
 	if err != nil {
 		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
 		return
 	}
+	d.lastMu.Lock()
+	d.lastResponse = resp
+	d.lastMu.Unlock()
+	// The client may be gone on the abort path; a failed write is fine.
+	enc := json.NewEncoder(conn)
+	_ = enc.Encode(resp)
+}
+
+// runStream drives one stream through the runtime while holding the
+// stream lock, which it releases on return. A mid-stream failure
+// (client disconnect, malformed frame, shutdown) cuts the stream at its
+// last complete slot: the shards still drain and the response carries
+// consistent results. The error return is for a stream that never
+// started.
+func (d *daemon) runStream(ctx context.Context, conn net.Conn) (*streamResponse, error) {
+	defer d.streamMu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err // shutdown began before the stream did
+	}
+
+	cur, slots, err := streamOpen(conn)
+	if err != nil {
+		return nil, err
+	}
 	defer cur.Close()
 
 	if err := d.rt.BeginStream(); err != nil {
-		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
-		return
+		return nil, err
 	}
 	processed := 0
 	var abortErr error
@@ -423,17 +469,12 @@ func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 	if abortErr != nil {
 		resp.Error = abortErr.Error()
 	}
-	d.lastMu.Lock()
-	d.lastResponse = resp
-	d.lastMu.Unlock()
-	// The client may be gone on the abort path; a failed write is fine.
-	enc := json.NewEncoder(conn)
-	_ = enc.Encode(resp)
+	return resp, nil
 }
 
-// shutdown waits out any active stream (the cancelled context expires
-// the connection's reads, cutting the stream at its last complete
-// slot), then stops the shard goroutines.
+// shutdown stops the shard goroutines once no stream or policy swap
+// holds the runtime. It runs after serve has returned, so no stream is
+// left; the lock still orders it after a concurrent /policy swap.
 func (d *daemon) shutdown() {
 	d.streamMu.Lock()
 	defer d.streamMu.Unlock()

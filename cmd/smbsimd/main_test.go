@@ -525,3 +525,84 @@ func TestDaemonStalledMidRecordSIGTERM(t *testing.T) {
 	}
 	checkResponseOracle(t, &resp, tr[:resp.ProcessedSlots], func() core.Policy { return policy.LQD{} })
 }
+
+// TestDaemonBusySecondClient stalls client A mid-stream and connects
+// client B: B must be told the daemon is busy within a second and have
+// its connection closed, while A's stream is untouched. A then sends
+// the rest of its trace and its answer must match the oracle; a fresh
+// stream after A finds the daemon free, and SIGTERM still exits 0.
+func TestDaemonBusySecondClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; skipped with -short")
+	}
+	d := startDaemon(t, filepath.Join(t.TempDir(), "final.obs.json"), 2)
+	cfg := e2eConfig()
+	tr := e2eTrace(cfg, 50)
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatalf("encoding trace: %v", err)
+	}
+	// Client A: 10 complete slots plus 3 bytes of slot 10, so the
+	// daemon has provably processed 9 slots and is blocked mid-record.
+	cut := 10 + 10*16 + 3
+	a, err := net.Dial("tcp", d.streamAddr)
+	if err != nil {
+		t.Fatalf("dialing daemon (A): %v", err)
+	}
+	defer a.Close()
+	if _, err := a.Write(buf.Bytes()[:cut]); err != nil {
+		t.Fatalf("writing A's prefix: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for d.liveSlots(t) != 2*9 {
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never consumed A's prefix")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Client B: answered busy and closed without sending anything.
+	start := time.Now()
+	b, err := net.Dial("tcp", d.streamAddr)
+	if err != nil {
+		t.Fatalf("dialing daemon (B): %v", err)
+	}
+	defer b.Close()
+	b.SetReadDeadline(time.Now().Add(time.Second))
+	reply, err := io.ReadAll(b)
+	if err != nil {
+		t.Fatalf("reading B's reply: %v (got %q after %v)", err, reply, time.Since(start))
+	}
+	var busy struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(reply, &busy); err != nil || busy.Error != "busy: a stream is active" {
+		t.Fatalf("B's reply = %q, want the busy error", reply)
+	}
+	t.Logf("B answered busy after %v", time.Since(start).Round(time.Millisecond))
+
+	// A finishes its stream; the busy client must not have disturbed it.
+	if _, err := a.Write(buf.Bytes()[cut:]); err != nil {
+		t.Fatalf("writing A's rest: %v", err)
+	}
+	if err := a.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatalf("half-close: %v", err)
+	}
+	var resp streamResponse
+	if err := json.NewDecoder(a).Decode(&resp); err != nil {
+		t.Fatalf("decoding A's response: %v", err)
+	}
+	if resp.Aborted || resp.Error != "" || resp.ProcessedSlots != len(tr) {
+		t.Fatalf("A's stream: %+v", resp)
+	}
+	checkResponseOracle(t, &resp, tr[:resp.ProcessedSlots], func() core.Policy { return policy.LQD{} })
+
+	// Right after A's answer the daemon takes the next stream.
+	resp2 := d.stream(t, tr)
+	if resp2.Aborted || resp2.Error != "" {
+		t.Fatalf("stream after A: %+v", resp2)
+	}
+	checkResponseOracle(t, resp2, tr, func() core.Policy { return policy.LQD{} })
+
+	d.terminateWithin(t, 2*time.Second)
+}

@@ -1,37 +1,31 @@
 // Package bmset implements a bounded multiset of integer values in [1,k]
-// backed by two Fenwick (binary indexed) trees: one over element counts and
-// one over value sums. It is the storage for value-model output queues,
-// which the paper treats as priority queues: transmission pops the maximum
-// value, push-out pops the minimum, and the MRD policy needs |Q| and the
-// value sum of Q to compute |Q|/avg(Q).
+// as a bucket-count array plus an occupancy bitmap. It is the storage for
+// value-model output queues, which the paper treats as priority queues:
+// transmission pops the maximum value, push-out pops the minimum, and the
+// MRD policy needs |Q| and the value sum of Q to compute |Q|/avg(Q).
 //
-// Add, Remove, PopMin, PopMax, Kth and prefix queries are O(log k). A
-// direct multiplicity array alongside the Fenwick trees makes CountOf
-// O(1) and lets Min and Max cache their result: extremes are maintained
-// incrementally on every mutation and only fall back to an O(log k)
-// order-statistics descent when the extreme bucket itself empties. This
-// matters because the value-model admission policies (LQD, MVD, MRD)
-// consult every queue's minimum on every congested arrival — the single
-// hottest query in the paper-scale sweeps.
+// mult[v] counts the copies of v, and bit v of the occupancy words is set
+// exactly when mult[v] > 0. Add and Remove are O(1). Min and Max scan the
+// occupancy words with one trailing- or leading-zero count per word, so
+// they are O(k/64): a single word for every k <= 63, which covers every
+// Fig. 5 panel. The value-model admission policies (LQD, MVD, MRD)
+// consult a queue's minimum on every congested arrival, which makes Min
+// the single hottest query in the paper-scale sweeps.
 package bmset
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Set is a multiset of values in [1,k]. The zero value is unusable; use
 // New.
 type Set struct {
 	k     int
-	count []int64 // Fenwick over multiplicities, 1-based
-	sum   []int64 // Fenwick over value·multiplicity, 1-based
-	mult  []int32 // direct multiplicities, 1-based
+	mult  []int32  // multiplicities, indexed by value; mult[0] stays 0
+	occ   []uint64 // bit v set iff mult[v] > 0
 	size  int
 	total int64 // sum of all elements
-
-	// Cached extremes: valid only when the corresponding flag is set.
-	// Maintained O(1) on Add and on removals that leave the extreme
-	// bucket non-empty; recomputed lazily via Kth otherwise.
-	minv, maxv   int
-	minOK, maxOK bool
 }
 
 // New returns an empty multiset accepting values in [1,k].
@@ -40,15 +34,11 @@ func New(k int) *Set {
 		panic(fmt.Sprintf("bmset: bound k=%d must be >= 1", k))
 	}
 	return &Set{
-		k:     k,
-		count: make([]int64, k+1),
-		sum:   make([]int64, k+1),
-		mult:  make([]int32, k+1),
+		k:    k,
+		mult: make([]int32, k+1),
+		occ:  make([]uint64, k>>6+1),
 	}
 }
-
-// Bound returns k, the inclusive upper bound on stored values.
-func (s *Set) Bound() int { return s.k }
 
 // Len returns the number of stored elements (with multiplicity).
 func (s *Set) Len() int { return s.size }
@@ -59,32 +49,17 @@ func (s *Set) Empty() bool { return s.size == 0 }
 // Sum returns the sum of all stored elements.
 func (s *Set) Sum() int64 { return s.total }
 
-// Avg returns the average stored value, or 0 for an empty set.
-func (s *Set) Avg() float64 {
-	if s.size == 0 {
-		return 0
-	}
-	return float64(s.total) / float64(s.size)
-}
-
-// Add inserts one copy of v.
+// Add inserts one copy of v. It panics if v is outside [1,k].
 //
 //smb:hotpath
 func (s *Set) Add(v int) {
-	//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-	s.check(v)
-	s.update(v, 1)
-	if s.size == 1 {
-		s.minv, s.maxv = v, v
-		s.minOK, s.maxOK = true, true
-		return
+	if v < 1 || v > s.k {
+		s.badValue("Add", v)
 	}
-	if s.minOK && v < s.minv {
-		s.minv = v
-	}
-	if s.maxOK && v > s.maxv {
-		s.maxv = v
-	}
+	s.mult[v]++
+	s.occ[v>>6] |= 1 << (v & 63)
+	s.size++
+	s.total += int64(v)
 }
 
 // Remove deletes one copy of v. It panics if v is not present: removing an
@@ -92,90 +67,48 @@ func (s *Set) Add(v int) {
 //
 //smb:hotpath
 func (s *Set) Remove(v int) {
-	//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-	s.check(v)
-	if s.mult[v] == 0 {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic(fmt.Sprintf("bmset: Remove(%d) not present", v))
+	if v < 1 || v > s.k || s.mult[v] == 0 {
+		s.badValue("Remove", v)
 	}
 	s.remove(v)
 }
 
-// remove deletes one present copy of v, maintaining the cached extremes.
+// remove deletes one present copy of v.
 //
 //smb:hotpath
 func (s *Set) remove(v int) {
-	s.update(v, -1)
-	if s.mult[v] > 0 {
-		return // the extreme buckets are unchanged
+	s.mult[v]--
+	if s.mult[v] == 0 {
+		s.occ[v>>6] &^= 1 << (v & 63)
 	}
-	if s.minOK && v == s.minv {
-		s.minOK = false
-	}
-	if s.maxOK && v == s.maxv {
-		s.maxOK = false
-	}
-}
-
-// CountOf returns the multiplicity of v.
-func (s *Set) CountOf(v int) int {
-	s.check(v)
-	return int(s.mult[v])
-}
-
-// CountLE returns the number of elements with value <= v. Values below 1
-// yield 0; values above k count everything.
-func (s *Set) CountLE(v int) int {
-	if v < 1 {
-		return 0
-	}
-	if v > s.k {
-		v = s.k
-	}
-	return int(s.prefixCount(v))
-}
-
-// SumLE returns the sum of elements with value <= v.
-func (s *Set) SumLE(v int) int64 {
-	if v < 1 {
-		return 0
-	}
-	if v > s.k {
-		v = s.k
-	}
-	return s.prefixSum(v)
+	s.size--
+	s.total -= int64(v)
 }
 
 // Min returns the smallest stored value. It panics on an empty set.
-// Amortized O(1): the cached minimum is reused until its bucket empties.
 //
 //smb:hotpath
 func (s *Set) Min() int {
-	if s.size == 0 {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic("bmset: Min on empty set")
+	for i, w := range s.occ {
+		if w != 0 {
+			return i<<6 | bits.TrailingZeros64(w)
+		}
 	}
-	if !s.minOK {
-		s.minv = s.Kth(1)
-		s.minOK = true
-	}
-	return s.minv
+	s.empty("Min")
+	return 0
 }
 
 // Max returns the largest stored value. It panics on an empty set.
-// Amortized O(1), mirroring Min.
 //
 //smb:hotpath
 func (s *Set) Max() int {
-	if s.size == 0 {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic("bmset: Max on empty set")
+	for i := len(s.occ) - 1; i >= 0; i-- {
+		if w := s.occ[i]; w != 0 {
+			return i<<6 | (63 - bits.LeadingZeros64(w))
+		}
 	}
-	if !s.maxOK {
-		s.maxv = s.Kth(s.size)
-		s.maxOK = true
-	}
-	return s.maxv
+	s.empty("Max")
+	return 0
 }
 
 // PopMin removes and returns the smallest stored value.
@@ -196,47 +129,37 @@ func (s *Set) PopMax() int {
 	return v
 }
 
-// Kth returns the k-th smallest element, 1-based (Kth(1) == Min,
-// Kth(Len()) == Max). It panics if j is out of [1, Len()].
-//
-// The implementation descends the Fenwick tree: classic O(log k) order
-// statistics.
+// PopMaxN removes the n largest stored values and returns their sum. It
+// empties whole buckets at a time, so its cost follows the number of
+// distinct values popped, not n. It panics if n is negative or exceeds Len().
 //
 //smb:hotpath
-func (s *Set) Kth(j int) int {
-	if j < 1 || j > s.size {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic(fmt.Sprintf("bmset: Kth(%d) out of range [1,%d]", j, s.size))
+func (s *Set) PopMaxN(n int) int64 {
+	if uint(n) > uint(s.size) {
+		s.empty("PopMaxN")
 	}
-	var (
-		pos    int
-		remain = int64(j)
-	)
-	// highestBit is the largest power of two <= k.
-	highestBit := 1
-	for highestBit<<1 <= s.k {
-		highestBit <<= 1
-	}
-	for step := highestBit; step > 0; step >>= 1 {
-		next := pos + step
-		if next <= s.k && s.count[next] < remain {
-			pos = next
-			remain -= s.count[next]
+	var sum int64
+	for left := n; left > 0; {
+		v := s.Max()
+		c := min(int(s.mult[v]), left)
+		s.mult[v] -= int32(c)
+		if s.mult[v] == 0 {
+			s.occ[v>>6] &^= 1 << (v & 63)
 		}
+		sum += int64(c) * int64(v)
+		left -= c
 	}
-	return pos + 1
+	s.size -= n
+	s.total -= sum
+	return sum
 }
 
 // Clear removes all elements.
 func (s *Set) Clear() {
-	for i := range s.count {
-		s.count[i] = 0
-		s.sum[i] = 0
-		s.mult[i] = 0
-	}
+	clear(s.mult)
+	clear(s.occ)
 	s.size = 0
 	s.total = 0
-	s.minOK, s.maxOK = false, false
 }
 
 // Values returns all stored elements in ascending order (with
@@ -251,37 +174,20 @@ func (s *Set) Values() []int {
 	return out
 }
 
+// empty and badValue are the out-of-line panics of the hot methods.
+// Keeping them out of line keeps the panic message's allocation out of
+// every caller that inlines a hot method.
+//
+//go:noinline
 //smb:hotpath
-func (s *Set) check(v int) {
-	if v < 1 || v > s.k {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic(fmt.Sprintf("bmset: value %d out of range [1,%d]", v, s.k))
-	}
+func (s *Set) empty(op string) {
+	//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
+	panic(fmt.Sprintf("bmset: %s on a set of %d elements", op, s.size))
 }
 
+//go:noinline
 //smb:hotpath
-func (s *Set) update(v int, delta int64) {
-	for i := v; i <= s.k; i += i & (-i) {
-		s.count[i] += delta
-		s.sum[i] += delta * int64(v)
-	}
-	s.mult[v] += int32(delta)
-	s.size += int(delta)
-	s.total += delta * int64(v)
-}
-
-func (s *Set) prefixCount(v int) int64 {
-	var t int64
-	for i := v; i > 0; i -= i & (-i) {
-		t += s.count[i]
-	}
-	return t
-}
-
-func (s *Set) prefixSum(v int) int64 {
-	var t int64
-	for i := v; i > 0; i -= i & (-i) {
-		t += s.sum[i]
-	}
-	return t
+func (s *Set) badValue(op string, v int) {
+	//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
+	panic(fmt.Sprintf("bmset: %s(%d): value absent or out of range [1,%d]", op, v, s.k))
 }

@@ -725,10 +725,7 @@ func (s *Switch) transmitValue() {
 		if pops == 0 {
 			continue
 		}
-		var sum int64
-		for c := 0; c < pops; c++ {
-			sum += int64(s.vq[i].PopMax())
-		}
+		sum := s.vq[i].PopMaxN(pops)
 		s.qLen[i] -= pops
 		s.qWork[i] -= pops
 		s.vSum[i] -= sum

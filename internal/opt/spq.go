@@ -373,10 +373,7 @@ func (s *SPQVal) Transmit() {
 	if n := s.vals.Len(); pops > n {
 		pops = n
 	}
-	var sum int64
-	for c := 0; c < pops; c++ {
-		sum += int64(s.vals.PopMax())
-	}
+	sum := s.vals.PopMaxN(pops)
 	p64 := int64(pops)
 	s.stats.Transmitted += p64
 	s.stats.TransmittedValue += sum
